@@ -86,7 +86,8 @@ fn default_quick_budget_s(id: &str) -> f64 {
         "fig7" | "fig9" | "table2" | "fig10" => 90.0,
         "table3" => 15.0,
         "bounds" | "numerics" => 30.0,
-        "fig11" | "ablation" | "fault" | "fleet" | "serve" | "fitted" | "allreduce" => 120.0,
+        "serve" => 40.0,
+        "fig11" | "ablation" | "fault" | "fleet" | "fitted" | "allreduce" => 120.0,
         "checks" => 180.0,
         _ => 120.0,
     }

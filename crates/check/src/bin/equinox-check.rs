@@ -320,7 +320,7 @@ fn write_json(reports: &[Report]) -> std::io::Result<()> {
 /// the byte-identical determinism contract (it is a measurement).
 fn write_timings(pass_seconds: &[f64; 6], total_s: f64) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let threads = equinox_par::thread_count();
     let mut json = format!(
         "{{\"tool\":\"equinox-check\",\"threads\":{threads},\"total_s\":{total_s:.3},\"passes\":["
     );
