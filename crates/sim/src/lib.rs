@@ -48,7 +48,6 @@ pub mod loadgen;
 pub mod report;
 pub mod slo;
 pub mod stats;
-pub mod trace;
 pub mod validate;
 
 pub use config::{

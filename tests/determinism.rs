@@ -1,23 +1,19 @@
 //! The parallel runtime's determinism contract: every serialized
 //! result is byte-identical at any thread count.
 //!
-//! Each probe renders a representative driver output to a `String` at
-//! `EQUINOX_THREADS`-equivalent 1 (forced serial) and 4 (work-stealing
-//! engaged) via [`equinox_par::set_thread_override`], and asserts the
-//! bytes match. The container running CI may only have one core —
-//! that's fine: with 4 workers on one core the OS interleaves them
-//! arbitrarily, which is exactly the schedule nondeterminism the
-//! contract must be immune to.
+//! Every entry of the experiment registry ([`equinox_bench::EXPERIMENTS`])
+//! is run at `EQUINOX_THREADS`-equivalent 1 (forced serial) and 4
+//! (work-stealing engaged) via [`equinox_par::set_thread_override`], and
+//! its `results/` files and gate verdicts must match. The container
+//! running CI may only have one core — that's fine: with 4 workers on
+//! one core the OS interleaves them arbitrarily, which is exactly the
+//! schedule nondeterminism the contract must be immune to.
 
-use equinox_arith::Encoding;
-use equinox_core::experiments::{
-    allreduce, fig10, fig11, fig6, fig7, fig8, fig9, fitted, fleet, numerics, serve, table1,
-};
-use equinox_core::{Equinox, ExperimentScale};
-use equinox_isa::models::ModelSpec;
-use equinox_model::LatencyConstraint;
-use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
+use equinox_bench::{Output, EXPERIMENTS};
+use equinox_core::experiments::fitted;
+use equinox_core::ExperimentScale;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Thread-count overrides are process-global; probes must not overlap.
 fn override_guard() -> MutexGuard<'static, ()> {
@@ -25,9 +21,9 @@ fn override_guard() -> MutexGuard<'static, ()> {
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Renders `probe()` under a forced thread count, restoring the
-/// default afterwards even if the probe panics.
-fn rendered_with_threads(threads: usize, probe: impl Fn() -> String) -> String {
+/// Runs `probe()` under a forced thread count, restoring the default
+/// afterwards even if the probe panics.
+fn with_threads<T>(threads: usize, probe: impl Fn() -> T) -> T {
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -39,115 +35,129 @@ fn rendered_with_threads(threads: usize, probe: impl Fn() -> String) -> String {
     probe()
 }
 
-fn assert_identical_across_thread_counts(probe: impl Fn() -> String) {
-    let _g = override_guard();
-    let serial = rendered_with_threads(1, &probe);
-    let parallel = rendered_with_threads(4, &probe);
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "output differs between 1 and 4 threads");
+/// Every registry entry's `--quick` output at 1 and at 4 threads, keyed
+/// by id. Rendered once per test process and shared by every test below.
+fn registry_renderings() -> &'static BTreeMap<&'static str, (Output, Output)> {
+    static RENDERINGS: OnceLock<BTreeMap<&'static str, (Output, Output)>> = OnceLock::new();
+    RENDERINGS.get_or_init(|| {
+        let _g = override_guard();
+        EXPERIMENTS
+            .iter()
+            .map(|e| {
+                let run = || (e.run)(ExperimentScale::Quick);
+                (e.id, (with_threads(1, run), with_threads(4, run)))
+            })
+            .collect()
+    })
+}
+
+fn verdicts(out: &Output) -> Vec<(&str, bool)> {
+    out.gates.iter().map(|g| (g.name, g.ok)).collect()
+}
+
+/// Asserts that registry entry `id` wrote the same files and reached the
+/// same gate verdicts at 1 and 4 threads.
+fn assert_entry_invariant(id: &str) {
+    let (serial, parallel) = &registry_renderings()[id];
+    assert!(!serial.files.is_empty(), "{id}: writes no file");
+    assert_eq!(serial.files.len(), parallel.files.len(), "{id}: file count differs");
+    for ((name, a), (other, b)) in serial.files.iter().zip(&parallel.files) {
+        assert_eq!(name, other, "{id}: file list differs between 1 and 4 threads");
+        // Not assert_eq!: a failure would print both files in full.
+        assert!(a == b, "{id}: {name} differs between 1 and 4 threads");
+    }
+    assert_eq!(verdicts(serial), verdicts(parallel), "{id}: gate verdicts differ");
 }
 
 #[test]
+fn every_registry_entry_is_thread_count_invariant() {
+    let mut writers: BTreeMap<&str, &str> = BTreeMap::new();
+    for (id, (serial, _)) in registry_renderings() {
+        assert_entry_invariant(id);
+        for (name, _) in &serial.files {
+            if let Some(other) = writers.insert(name, id) {
+                panic!("{name} is written by both {other} and {id}");
+            }
+        }
+        let mut gate_names: Vec<&str> = serial.gates.iter().map(|g| g.name).collect();
+        gate_names.sort_unstable();
+        gate_names.dedup();
+        assert_eq!(gate_names.len(), serial.gates.len(), "{id}: duplicate gate names");
+    }
+}
+
+// Named views over single registry entries, so a failure names its
+// experiment; the registry-wide test above covers the same renderings.
+
+#[test]
 fn fig6_csvs_are_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| {
-        let fig = fig6::run();
-        format!("{}\n{}", fig.hbfp8_csv, fig.bf16_csv)
-    });
+    assert_entry_invariant("fig6");
 }
 
 #[test]
 fn table1_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| table1::run().to_string());
+    assert_entry_invariant("table1");
 }
 
 #[test]
 fn fig7_quick_series_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| {
-        fig7::run(Encoding::Hbfp8, ExperimentScale::Quick).to_string()
-    });
+    assert_entry_invariant("fig7");
 }
 
 #[test]
 fn fig8_quick_breakdown_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig8::run(ExperimentScale::Quick).to_string());
+    assert_entry_invariant("fig8");
 }
 
 #[test]
 fn fig9_quick_series_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig9::run(ExperimentScale::Quick).to_string());
+    assert_entry_invariant("fig9");
 }
 
 #[test]
 fn fig10_quick_series_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig10::run(ExperimentScale::Quick).to_string());
+    assert_entry_invariant("fig10");
 }
 
 #[test]
 fn fig11_quick_panels_are_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| fig11::run(ExperimentScale::Quick).to_string());
+    assert_entry_invariant("fig11");
 }
 
 #[test]
 fn fleet_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/fleet_sweep.json`: the serialized sweep —
-    // routing decisions, per-device simulations, merged fleet tails —
-    // must not depend on how the per-device runs were scheduled.
-    assert_identical_across_thread_counts(|| fleet::run(ExperimentScale::Quick).to_json());
+    assert_entry_invariant("fleet");
 }
 
 #[test]
 fn allreduce_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/allreduce_sweep.json`: the frontier's
-    // cells fan out across threads, and inside each cell the packet
-    // engine is a single-threaded event heap seeded from the run's
-    // master seed — so the serialized frontier (round cycles, link
-    // utilizations, synced-epoch arithmetic) must not depend on
-    // scheduling.
-    assert_identical_across_thread_counts(|| allreduce::run(ExperimentScale::Quick).to_json());
+    assert_entry_invariant("allreduce");
 }
 
 #[test]
 fn serve_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/serve_sweep.json`: admission decisions
-    // and autoscale transitions happen in the serial routing pass, and
-    // the per-device evaluations merge by index — so the serialized
-    // sweep must not depend on scheduling.
-    assert_identical_across_thread_counts(|| serve::run(ExperimentScale::Quick).to_json());
-}
-
-#[test]
-fn fitted_tables_json_is_thread_count_invariant() {
-    // The golden for `results/fitted_tables.json`: the (model, load,
-    // seed) sampling grid fans out across threads but pools samples by
-    // grid index, so the fitted quantile tables and their held-out
-    // calibration must not depend on scheduling. Calls `fitted::run`
-    // directly (not the process-shared `FittedCalibration::shared`)
-    // so both renderings genuinely refit. The scaled fleet/serve cells
-    // built on these tables are covered by the fleet/serve probes.
-    assert_identical_across_thread_counts(|| fitted::run(ExperimentScale::Quick).to_json());
+    assert_entry_invariant("serve");
 }
 
 #[test]
 fn numerics_sweep_json_is_thread_count_invariant() {
-    // The golden for `results/numerics_sweep.json`: the per-cell
-    // lowerings and chain probes fan out across threads but merge by
-    // grid index, and every probe seed derives from the chain shape —
-    // so the serialized sweep must not depend on scheduling.
-    assert_identical_across_thread_counts(|| numerics::run(ExperimentScale::Quick).to_json());
+    assert_entry_invariant("numerics");
 }
 
 #[test]
 fn check_report_is_thread_count_invariant() {
-    assert_identical_across_thread_counts(|| {
-        let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
-            .expect("paper design exists");
-        let mut out = String::new();
-        for model in [ModelSpec::lstm_2048_25(), ModelSpec::mlp_2048x5()] {
-            let report = eq.check(&model, eq.dims().n);
-            let _ = writeln!(out, "{}", report.to_json());
-        }
-        out
-    });
+    assert_entry_invariant("checks");
+}
+
+#[test]
+fn fitted_tables_json_is_thread_count_invariant() {
+    // The registry's `fitted` entry reads the process-shared
+    // `FittedCalibration::shared`, so its 4-thread rendering would reuse
+    // the 1-thread fit. Calling `fitted::run` directly makes both
+    // renderings genuinely refit.
+    let _g = override_guard();
+    let run = || fitted::run(ExperimentScale::Quick).to_json();
+    assert!(with_threads(1, run) == with_threads(4, run), "fitted tables differ");
 }
 
 #[test]
@@ -162,7 +172,5 @@ fn gemm_kernels_are_thread_count_invariant() {
         let h = gemm_bf16(&a, &b);
         format!("{:?}{:?}", f.as_slice(), h.as_slice())
     };
-    let serial = rendered_with_threads(1, probe);
-    let parallel = rendered_with_threads(4, probe);
-    assert_eq!(serial, parallel);
+    assert_eq!(with_threads(1, probe), with_threads(4, probe));
 }
