@@ -447,19 +447,18 @@ fn run_checks(_: ExperimentScale) -> Output {
     // One verdict per (driver, design, workload) the experiment drivers
     // exercise, so the static-analysis state of every published number
     // is recorded.
-    let grid: [(&str, LatencyConstraint, ModelSpec, usize); 7] = [
-        ("fig7/fig8/fig10/fig11", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25(), 0),
-        ("fig9", LatencyConstraint::Micros(50), ModelSpec::lstm_2048_25(), 0),
-        ("fig9/min", LatencyConstraint::MinLatency, ModelSpec::lstm_2048_25(), 0),
-        ("table2/gru", LatencyConstraint::Micros(500), ModelSpec::gru_2816_1500(), 0),
-        ("table2/resnet", LatencyConstraint::Micros(500), ModelSpec::resnet50(), 8),
-        ("table2/mlp", LatencyConstraint::Micros(500), ModelSpec::mlp_2048x5(), 0),
-        ("diurnal/fault", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25(), 0),
+    let grid: [(&str, LatencyConstraint, ModelSpec); 7] = [
+        ("fig7/fig8/fig10/fig11", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25()),
+        ("fig9", LatencyConstraint::Micros(50), ModelSpec::lstm_2048_25()),
+        ("fig9/min", LatencyConstraint::MinLatency, ModelSpec::lstm_2048_25()),
+        ("table2/gru", LatencyConstraint::Micros(500), ModelSpec::gru_2816_1500()),
+        ("table2/resnet", LatencyConstraint::Micros(500), ModelSpec::resnet50()),
+        ("table2/mlp", LatencyConstraint::Micros(500), ModelSpec::mlp_2048x5()),
+        ("diurnal/fault", LatencyConstraint::Micros(500), ModelSpec::lstm_2048_25()),
     ];
-    let verdicts = equinox_par::parallel_map(grid.to_vec(), |(driver, constraint, model, batch)| {
+    let verdicts = equinox_par::parallel_map(grid.to_vec(), |(driver, constraint, model)| {
         let eq = Equinox::build(Encoding::Hbfp8, constraint).expect("paper designs exist");
-        let batch = if batch == 0 { eq.dims().n } else { batch };
-        (driver.to_string(), eq.check(&model, batch))
+        (driver.to_string(), eq.check(&model, model.serving_batch(&eq.dims())))
     });
     // The training lowerings behind every "training for free" number:
     // one full backward-pass + weight-update program per paper model on

@@ -15,13 +15,19 @@
 //! `--pass <list>` restricts the run to a comma-separated subset of
 //! pass families; `--list-passes` prints the families and exits.
 //!
-//! The exit code is non-zero iff any error-severity diagnostic was
-//! produced — or, under `--deny-warnings`, any warning.
+//! Exit code 1 means an error-severity diagnostic on a configuration,
+//! a compiled inference or training program, or a training profile
+//! (any error at all in file mode) — or, under `--deny-warnings`, any
+//! warning. Installation-fit errors (`EQX0203`/`EQX0204`) are printed
+//! and counted in the summary but do not fail the sweep: whether a
+//! workload fits the buffers is a property of the workload, not a
+//! defect. Exit code 2 means bad arguments or an unwritable report.
 
 use equinox_arith::Encoding;
 use equinox_check::bounds::paper_energy_params;
 use equinox_check::{
     analyze_config, analyze_program_with, analyze_training, analyze_training_program_with,
+    MAX_ANALYZED_INSTRUCTIONS,
 };
 use equinox_check::{
     encoding as wire, BoundsOptions, BufferBudget, NumericsOptions, Pass, PassSelection, Report,
@@ -63,32 +69,6 @@ fn paper_family(encoding: Encoding, space: &DesignSpace) -> Vec<AcceleratorConfi
         .collect()
 }
 
-/// Batch size a workload is served at (RNN/MLP batch to the geometry's
-/// `n`; im2col/attention workloads serve small batches, cf. Table 2).
-fn serving_batch(model: &ModelSpec, dims: &ArrayDims) -> usize {
-    if model.is_vector_matrix() {
-        dims.n
-    } else {
-        8
-    }
-}
-
-/// Training configuration a workload trains under: RNN/MLP minibatch
-/// 128 (the GRU's 1500-step unroll at 32), im2col workloads at 8.
-fn training_setup(model: &ModelSpec, encoding: Encoding) -> TrainingSetup {
-    let batch = match model.name() {
-        "GRU" => 32,
-        _ if model.is_vector_matrix() => 128,
-        _ => 8,
-    };
-    TrainingSetup { batch, encoding, ..TrainingSetup::paper_default() }
-}
-
-/// Upper bound on the sweep's per-program instruction count: tiny
-/// geometries shatter the large RNNs into hundreds of millions of
-/// tiles, which is a compiler stress test rather than a useful check.
-const MAX_SWEEP_INSTRUCTIONS: u64 = 2_000_000;
-
 /// One independently-analyzable cell of the sweep grid: either the
 /// configuration-level lints (`model: None`) or the full
 /// install/inference/training pass stack for one `(config, model)`
@@ -126,7 +106,7 @@ fn run_unit(
         }
         return (reports, failed, timings);
     };
-    let batch = serving_batch(&model, &config.dims);
+    let batch = model.serving_batch(&config.dims);
     // The installation fit always computes (it gates program analysis),
     // but is only reported — and billed — when its family is selected.
     let install_start = Instant::now();
@@ -151,13 +131,13 @@ fn run_unit(
     if installs {
         let estimate = estimate_inference_instructions(&model, &config.dims, batch);
         let subject = format!("{}/{}", config.name, model.name());
-        if estimate > MAX_SWEEP_INSTRUCTIONS {
+        if estimate > MAX_ANALYZED_INSTRUCTIONS {
             let mut skipped = Report::new(subject);
             skipped.push(equinox_check::Diagnostic::note(
                 equinox_check::Code::ANALYSIS_SKIPPED,
                 format!(
                     "~{estimate} instructions on this geometry; \
-                     skipped (sweep cap {MAX_SWEEP_INSTRUCTIONS})"
+                     skipped (sweep cap {MAX_ANALYZED_INSTRUCTIONS})"
                 ),
             ));
             reports.push(skipped);
@@ -184,13 +164,13 @@ fn run_unit(
     // inference is served: the lowered backward pass streams
     // from DRAM, so it is analyzed even when the serving
     // installation does not fit.
-    let setup = training_setup(&model, encoding);
+    let setup = TrainingSetup::for_model(&model, encoding);
     let (mut training_prog, pass_times) = analyze_training_program_with(
         &model,
         &config.dims,
         &setup,
         budget,
-        MAX_SWEEP_INSTRUCTIONS,
+        MAX_ANALYZED_INSTRUCTIONS,
         passes,
         Some(&cost),
         &bounds_options,

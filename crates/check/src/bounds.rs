@@ -487,7 +487,7 @@ mod tests {
             ModelSpec::resnet50(),
             ModelSpec::mlp_2048x5(),
         ] {
-            let batch = if model.is_vector_matrix() { dims.n } else { 8 };
+            let batch = model.serving_batch(&dims);
             let program = compile_inference(&model, &dims, batch);
             let timing = InferenceTiming::from_program(&program, &dims, batch);
             let bounds = compute_bounds(&program, &cost);

@@ -92,6 +92,13 @@ use equinox_model::DesignSpace;
 use equinox_sim::{AcceleratorConfig, CostModel};
 use std::time::Instant;
 
+/// Default cap on the instruction count of a lowering the analyzer is
+/// asked to check: tiny geometries shatter the large RNNs into hundreds
+/// of millions of tiles, which is a compiler stress test rather than a
+/// useful check. Larger lowerings get an [`Code::ANALYSIS_SKIPPED`]
+/// note instead.
+pub const MAX_ANALYZED_INSTRUCTIONS: u64 = 2_000_000;
+
 /// One analyzer pass family, for selection (`--pass`) and per-family
 /// timing attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -423,13 +430,9 @@ mod tests {
     fn training_lowerings_analyze_clean_for_paper_models() {
         let dims = ArrayDims { n: 186, w: 3, m: 3 };
         let budget = BufferBudget::paper_default();
-        for (model, batch) in [
-            (ModelSpec::lstm_2048_25(), 128),
-            (ModelSpec::resnet50(), 8),
-            (ModelSpec::mlp_2048x5(), 128),
-        ] {
-            let setup = TrainingSetup { batch, ..Default::default() };
-            let r = analyze_training_program(&model, &dims, &setup, &budget, 2_000_000);
+        for model in [ModelSpec::lstm_2048_25(), ModelSpec::resnet50(), ModelSpec::mlp_2048x5()] {
+            let setup = TrainingSetup::for_model(&model, ValueEncoding::Hbfp8);
+            let r = analyze_training_program(&model, &dims, &setup, &budget, MAX_ANALYZED_INSTRUCTIONS);
             assert!(!r.has_errors(), "{}", r.render_human());
             assert!(!r.has_code(Code::ANALYSIS_SKIPPED), "{}", r.render_human());
         }

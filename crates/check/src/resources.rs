@@ -173,8 +173,7 @@ mod tests {
     fn compiled_programs_are_clean() {
         let d = dims();
         for model in [ModelSpec::lstm_2048_25(), ModelSpec::resnet50()] {
-            let batch = if model.is_vector_matrix() { d.n } else { 8 };
-            let p = compile_inference(&model, &d, batch);
+            let p = compile_inference(&model, &d, model.serving_batch(&d));
             let diags = analyze_program(&p, &d, &BufferBudget::paper_default());
             assert!(diags.is_empty(), "{}: {diags:?}", model.name());
         }

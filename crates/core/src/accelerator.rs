@@ -85,11 +85,6 @@ impl Equinox {
         &self.design
     }
 
-    /// The simulator configuration (mutable, to override policies).
-    pub fn config_mut(&mut self) -> &mut AcceleratorConfig {
-        &mut self.config
-    }
-
     /// The simulator configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
@@ -180,7 +175,7 @@ impl Equinox {
             );
             report.extend(program_report.diagnostics().iter().cloned());
         }
-        let training = self.check_training(model, 2_000_000);
+        let training = self.check_training(model, equinox_check::MAX_ANALYZED_INSTRUCTIONS);
         report.extend(training.diagnostics().iter().cloned());
         let config_report = equinox_check::analyze_config(&self.config, None);
         report.extend(config_report.diagnostics().iter().cloned());
@@ -203,26 +198,10 @@ impl Equinox {
         equinox_check::analyze_training_program(
             model,
             &self.config.dims,
-            &self.training_setup(model),
+            &TrainingSetup::for_model(model, self.config.encoding),
             &equinox_check::BufferBudget::paper_default(),
             max_instructions,
         )
-    }
-
-    /// Training configuration for `model` on this instance: RNN/MLP
-    /// minibatch 128 (the GRU's 1500-step unroll at 32), im2col
-    /// workloads at 8, streamed in this design's encoding.
-    fn training_setup(&self, model: &ModelSpec) -> TrainingSetup {
-        let batch = match model.name() {
-            "GRU" => 32,
-            _ if model.is_vector_matrix() => 128,
-            _ => 8,
-        };
-        TrainingSetup {
-            batch,
-            encoding: self.config.encoding,
-            ..TrainingSetup::paper_default()
-        }
     }
 
     /// Profiles one training iteration of `model` on this geometry at

@@ -22,7 +22,7 @@
 //! interconnect congestion; every link conserves bytes in every cell;
 //! and the `EQX09xx` interconnect lints are clean on the swept fabric.
 
-use crate::experiments::ExperimentScale;
+use crate::experiments::{synthetic_serving_device, ExperimentScale};
 use equinox_arith::Encoding;
 use equinox_check::diag::json_string;
 use equinox_check::{analyze_interconnect, InterconnectParams, Severity};
@@ -30,11 +30,8 @@ use equinox_fleet::{
     AdmissionSpec, AllReduceSchedule, ArrivalSource, DeviceSpec, Fleet, FleetRunOptions,
     InterconnectSpec, RoutingPolicy, Topology,
 };
-use equinox_isa::lower::InferenceTiming;
 use equinox_isa::models::ModelSpec;
-use equinox_isa::training::TrainingProfile;
-use equinox_isa::ArrayDims;
-use equinox_sim::{AcceleratorConfig, RequestClass, SloSpec};
+use equinox_sim::{RequestClass, SloSpec};
 
 /// Devices in the fleet (the second half co-hosts training, so the
 /// all-reduce group has four participants).
@@ -144,37 +141,6 @@ pub struct AllReduceSweep {
     pub cells: Vec<AllReduceCell>,
 }
 
-/// The synthetic serving device (shared shape with the serve sweep):
-/// 16-request batches served in 16 µs at 1 GHz, evaluated by the
-/// static-bounds surrogate with exact bounds.
-fn sync_device(i: usize) -> DeviceSpec {
-    let dims = ArrayDims { n: 16, w: 4, m: 4 };
-    let config = AcceleratorConfig::new(format!("sync[{i}]"), dims, 1e9, Encoding::Hbfp8);
-    let timing = InferenceTiming {
-        total_cycles: 16_000,
-        mmu_busy_cycles: 12_000,
-        mmu_utilization: 0.85,
-        stall_cycles: 1_000,
-        simd_busy_cycles: 2_000,
-        total_macs: 32_000_000,
-        macs_per_request: 2_000_000,
-        batch: 16,
-    };
-    let spec = DeviceSpec::new(config, timing);
-    let spec = if i >= FLEET_SIZE - FLEET_SIZE / 2 {
-        spec.with_training(TrainingProfile {
-            iteration_macs: 1_000_000_000,
-            iteration_mmu_cycles: 40_000,
-            iteration_dram_bytes: 4_000_000,
-            iteration_simd_cycles: 4_000,
-            batch: 128,
-        })
-    } else {
-        spec
-    };
-    spec.with_static_bounds(16_000, 16_000)
-}
-
 /// The swept fabric for one (topology, schedule) pair: the datacenter
 /// link profile carrying the reference gradient, drop-tail switching
 /// everywhere (the PFC variant is deadlock-capable on the ring — the
@@ -196,9 +162,16 @@ fn max_route_hops(topology: Topology, n: usize) -> usize {
     }
 }
 
+/// The fleet's synthetic serving devices; the second half harvests.
+fn sync_devices() -> Vec<DeviceSpec> {
+    (0..FLEET_SIZE)
+        .map(|i| synthetic_serving_device(format!("sync[{i}]"), i >= FLEET_SIZE - FLEET_SIZE / 2))
+        .collect()
+}
+
 /// Runs the frontier sweep.
 pub fn run(scale: ExperimentScale) -> AllReduceSweep {
-    let devices: Vec<DeviceSpec> = (0..FLEET_SIZE).map(sync_device).collect();
+    let devices = sync_devices();
     let deadline_s = DEADLINE_X * devices[0].service_time_s();
     let slo = SloSpec::new(deadline_s).expect("positive deadline");
     let intervals: u64 = match scale {
@@ -216,7 +189,7 @@ pub fn run(scale: ExperimentScale) -> AllReduceSweep {
         }
     }
     let cells = equinox_par::parallel_map(grid, |(topology, schedule, load)| {
-        let fleet = Fleet::new((0..FLEET_SIZE).map(sync_device).collect())
+        let fleet = Fleet::new(sync_devices())
             .expect("synthetic devices validate")
             .with_interconnect(fabric_spec(topology, schedule))
             .expect("the swept fabric validates against the fleet");

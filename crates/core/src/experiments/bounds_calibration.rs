@@ -27,15 +27,12 @@
 //! job fails on.
 
 use crate::accelerator::Equinox;
-use crate::experiments::ExperimentScale;
+use crate::experiments::{lower_cell, ExperimentScale};
 use equinox_arith::Encoding;
 use equinox_check::bounds::{compute_bounds, paper_energy_params, soundness_diagnostics};
 use equinox_check::diag::json_string;
-use equinox_check::BufferBudget;
-use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
 use equinox_isa::lower::InferenceTiming;
 use equinox_isa::models::ModelSpec;
-use equinox_isa::training::TrainingSetup;
 use equinox_model::LatencyConstraint;
 use equinox_sim::{AcceleratorConfig, BatchingPolicy, CostModel, SchedulerPolicy, Simulation};
 
@@ -162,30 +159,7 @@ fn probe(
 fn calibrate(eq: &Equinox, cost: &CostModel, model: &ModelSpec, training: bool, intervals: u64) -> CalibrationCell {
     let dims = eq.dims();
     let config = eq.config();
-    let (program, batch) = if training {
-        // The facade's per-model training setups: RNN/MLP minibatch
-        // 128, the GRU's 1500-step unroll at 32, im2col workloads at 8.
-        let batch = match model.name() {
-            "GRU" => 32,
-            _ if model.is_vector_matrix() => 128,
-            _ => 8,
-        };
-        let setup =
-            TrainingSetup { batch, encoding: config.encoding, ..TrainingSetup::paper_default() };
-        (lower_training_cached(model, &dims, &setup), batch)
-    } else {
-        // Vector-matrix workloads serve at the full hardware batch; the
-        // im2col workloads at the paper's serving batch of 8.
-        let batch = if model.is_vector_matrix() { dims.n } else { 8 };
-        let program = compile_inference_cached(
-            model,
-            &dims,
-            batch,
-            config.encoding,
-            &BufferBudget::paper_default(),
-        );
-        (program, batch)
-    };
+    let (program, batch) = lower_cell(eq, model, training);
     let timing = InferenceTiming::from_program(&program, &dims, batch);
     let bounds = compute_bounds(&program, cost);
     let energy = bounds.energy.as_ref().expect("cost model carries energy parameters");

@@ -339,8 +339,8 @@ pub fn run(scale: ExperimentScale) -> FittedCalibration {
     let contexts: Vec<ModelCtx> = fitted_models()
         .into_iter()
         .map(|model| {
-            assert!(model.is_vector_matrix(), "fitted models serve at the hardware batch");
-            let batch = dims.n;
+            let batch = model.serving_batch(&dims);
+            assert_eq!(batch, dims.n, "fitted models serve at the hardware batch");
             let program = compile_inference_cached(
                 &model,
                 &dims,

@@ -25,6 +25,67 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+use crate::accelerator::Equinox;
+use equinox_arith::Encoding;
+use equinox_fleet::DeviceSpec;
+use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
+use equinox_isa::lower::InferenceTiming;
+use equinox_isa::models::ModelSpec;
+use equinox_isa::training::{TrainingProfile, TrainingSetup};
+use equinox_isa::validate::BufferBudget;
+use equinox_isa::{ArrayDims, Program};
+use equinox_sim::AcceleratorConfig;
+use std::sync::Arc;
+
+/// One (model, lowering) cell of the analyzer calibration sweeps on
+/// `eq`: the training iteration at the model's training minibatch, or
+/// the inference program at its serving batch. Returns the program and
+/// the batch it was lowered at.
+pub(crate) fn lower_cell(eq: &Equinox, model: &ModelSpec, training: bool) -> (Arc<Program>, usize) {
+    let dims = eq.dims();
+    let encoding = eq.config().encoding;
+    if training {
+        let setup = TrainingSetup::for_model(model, encoding);
+        (lower_training_cached(model, &dims, &setup), setup.batch)
+    } else {
+        let batch = model.serving_batch(&dims);
+        let budget = BufferBudget::paper_default();
+        (compile_inference_cached(model, &dims, batch, encoding, &budget), batch)
+    }
+}
+
+/// The synthetic serving device of the fleet sweeps: 16-request batches
+/// served in 16 µs at 1 GHz (saturation 1 M req/s), evaluated by the
+/// static-bounds surrogate with exact bounds so service times match the
+/// engine. A harvesting device co-hosts a training context.
+pub(crate) fn synthetic_serving_device(name: String, harvests: bool) -> DeviceSpec {
+    let dims = ArrayDims { n: 16, w: 4, m: 4 };
+    let config = AcceleratorConfig::new(name, dims, 1e9, Encoding::Hbfp8);
+    let timing = InferenceTiming {
+        total_cycles: 16_000,
+        mmu_busy_cycles: 12_000,
+        mmu_utilization: 0.85,
+        stall_cycles: 1_000,
+        simd_busy_cycles: 2_000,
+        total_macs: 32_000_000,
+        macs_per_request: 2_000_000,
+        batch: 16,
+    };
+    let spec = DeviceSpec::new(config, timing);
+    let spec = if harvests {
+        spec.with_training(TrainingProfile {
+            iteration_macs: 1_000_000_000,
+            iteration_mmu_cycles: 40_000,
+            iteration_dram_bytes: 4_000_000,
+            iteration_simd_cycles: 4_000,
+            batch: 128,
+        })
+    } else {
+        spec
+    };
+    spec.with_static_bounds(16_000, 16_000)
+}
+
 /// How much work an experiment run should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentScale {

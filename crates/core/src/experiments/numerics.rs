@@ -31,14 +31,12 @@
 //! regen job fails on.
 
 use crate::accelerator::Equinox;
-use crate::experiments::ExperimentScale;
+use crate::experiments::{lower_cell, ExperimentScale};
 use equinox_arith::{Accumulator25, Encoding, HbfpBlock, HbfpSpec, NumericEvents, Q8, SplitMix64};
 use equinox_check::diag::{json_string, Report};
 use equinox_check::numerics;
-use equinox_check::{BufferBudget, ChainVerdict, NumericsOptions};
-use equinox_isa::cache::{compile_inference_cached, lower_training_cached};
+use equinox_check::{ChainVerdict, NumericsOptions};
 use equinox_isa::models::ModelSpec;
-use equinox_isa::training::TrainingSetup;
 use equinox_model::LatencyConstraint;
 
 /// Tightness probes run only when `safe_depth + 1` stays below this
@@ -246,32 +244,8 @@ pub fn probe_chain(v: &ChainVerdict, trials: u32) -> ChainProbe {
 
 /// Calibrates one (model, lowering) cell.
 fn calibrate(eq: &Equinox, model: &ModelSpec, training: bool, trials: u32) -> NumericsCell {
-    let dims = eq.dims();
     let config = eq.config();
-    let (program, batch) = if training {
-        // The facade's per-model training setups: RNN/MLP minibatch
-        // 128, the GRU's 1500-step unroll at 32, im2col workloads at 8.
-        let batch = match model.name() {
-            "GRU" => 32,
-            _ if model.is_vector_matrix() => 128,
-            _ => 8,
-        };
-        let setup =
-            TrainingSetup { batch, encoding: config.encoding, ..TrainingSetup::paper_default() };
-        (lower_training_cached(model, &dims, &setup), batch)
-    } else {
-        // Vector-matrix workloads serve at the full hardware batch; the
-        // im2col workloads at the paper's serving batch of 8.
-        let batch = if model.is_vector_matrix() { dims.n } else { 8 };
-        let program = compile_inference_cached(
-            model,
-            &dims,
-            batch,
-            config.encoding,
-            &BufferBudget::paper_default(),
-        );
-        (program, batch)
-    };
+    let (program, batch) = lower_cell(eq, model, training);
     let mut report = Report::new(program.name().to_string());
     let summary =
         numerics::analyze(&mut report, &program, config.encoding, &NumericsOptions::default());

@@ -26,19 +26,15 @@
 //! on the swept parameters.
 
 use crate::experiments::fitted::FittedCalibration;
-use crate::experiments::ExperimentScale;
-use equinox_arith::Encoding;
+use crate::experiments::{synthetic_serving_device, ExperimentScale};
 use equinox_check::diag::json_string;
 use equinox_check::{analyze_serving, ServingParams};
 use equinox_fleet::{
     AdmissionSpec, ArrivalSource, AutoscalePolicy, DeviceSpec, Fleet, FleetRunOptions,
     RoutingPolicy, ScalingKind,
 };
-use equinox_isa::lower::InferenceTiming;
-use equinox_isa::training::TrainingProfile;
-use equinox_isa::ArrayDims;
 use equinox_sim::loadgen::{trace_mean_load, DiurnalProfile, FlashCrowd};
-use equinox_sim::{AcceleratorConfig, FaultScenario, RequestClass, SloSpec};
+use equinox_sim::{FaultScenario, RequestClass, SloSpec};
 
 /// Devices in the serving fleet (the second half co-hosts training).
 pub const FLEET_SIZE: usize = 8;
@@ -137,37 +133,6 @@ pub struct ServeSweep {
     pub cells: Vec<ServeCell>,
 }
 
-/// The synthetic serving device: 16-request batches served in 16 µs at
-/// 1 GHz (saturation 1 M req/s), evaluated by the static-bounds
-/// surrogate with exact bounds so service times match the engine.
-fn serve_device(i: usize) -> DeviceSpec {
-    let dims = ArrayDims { n: 16, w: 4, m: 4 };
-    let config = AcceleratorConfig::new(format!("serve[{i}]"), dims, 1e9, Encoding::Hbfp8);
-    let timing = InferenceTiming {
-        total_cycles: 16_000,
-        mmu_busy_cycles: 12_000,
-        mmu_utilization: 0.85,
-        stall_cycles: 1_000,
-        simd_busy_cycles: 2_000,
-        total_macs: 32_000_000,
-        macs_per_request: 2_000_000,
-        batch: 16,
-    };
-    let spec = DeviceSpec::new(config, timing);
-    let spec = if i >= FLEET_SIZE - FLEET_SIZE / 2 {
-        spec.with_training(TrainingProfile {
-            iteration_macs: 1_000_000_000,
-            iteration_mmu_cycles: 40_000,
-            iteration_dram_bytes: 4_000_000,
-            iteration_simd_cycles: 4_000,
-            batch: 128,
-        })
-    } else {
-        spec
-    };
-    spec.with_static_bounds(16_000, 16_000)
-}
-
 /// The trace day: a diurnal profile averaging 30 % load with a midday
 /// flash crowd multiplying the rate 2.5× for 8 % of the day.
 fn trace_day() -> (DiurnalProfile, FlashCrowd) {
@@ -205,7 +170,9 @@ fn tier_stats(report: &equinox_fleet::FleetReport, class: RequestClass) -> TierS
 
 /// Runs the sweep.
 pub fn run(scale: ExperimentScale) -> ServeSweep {
-    let devices: Vec<DeviceSpec> = (0..FLEET_SIZE).map(serve_device).collect();
+    let devices: Vec<DeviceSpec> = (0..FLEET_SIZE)
+        .map(|i| synthetic_serving_device(format!("serve[{i}]"), i >= FLEET_SIZE - FLEET_SIZE / 2))
+        .collect();
     let deadline_s = DEADLINE_X * devices[0].service_time_s();
     let slo = SloSpec::new(deadline_s).expect("positive deadline");
     // One simulated "day" in batch-service intervals.

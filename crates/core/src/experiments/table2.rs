@@ -27,33 +27,21 @@ pub struct Table2 {
     pub rows: Vec<Table2Row>,
 }
 
-/// ResNet-50 inference batch on the large-MMU configuration (the conv
-/// GEMMs are tall, so utilization does not need `n` samples).
-const RESNET_BATCH: usize = 8;
-
 /// Runs the sensitivity study.
 pub fn run(scale: ExperimentScale) -> Table2 {
     let eq = Equinox::build(Encoding::Hbfp8, LatencyConstraint::Micros(500))
         .expect("the 500 µs design exists");
     let mut rows = Vec::new();
-    let models: [(ModelSpec, Option<usize>); 3] = [
-        (ModelSpec::lstm_2048_25(), None),
-        (ModelSpec::gru_2816_1500(), None),
-        (ModelSpec::resnet50(), Some(RESNET_BATCH)),
-    ];
-    for (model, batch) in models {
-        let timing = match batch {
-            Some(b) => eq.compile_with_batch(&model, b),
-            None => eq.compile(&model),
-        }
-        .expect("reference workload compiles");
+    for model in [ModelSpec::lstm_2048_25(), ModelSpec::gru_2816_1500(), ModelSpec::resnet50()] {
+        let timing = eq
+            .compile_with_batch(&model, model.serving_batch(&eq.dims()))
+            .expect("reference workload compiles");
         // Training throughput at 60 % load (training instance of the
         // same model, per the paper's setup).
         let report = eq.run_compiled(
             &timing,
             &RunOptions {
                 model: model.clone(),
-                batch,
                 train_model: Some(model.clone()),
                 // GRU batches are ~75 ms; keep the request count modest.
                 target_requests: scale.target_requests().min(2000),

@@ -8,6 +8,7 @@
 //!   with matrix shapes that map poorly onto large MMUs.
 
 use crate::layers::{GemmMode, GemmStep};
+use crate::ArrayDims;
 
 /// A workload: a named sequence of GEMM steps.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -150,6 +151,20 @@ impl ModelSpec {
         self.steps
             .iter()
             .all(|s| s.mode == GemmMode::VectorMatrix)
+    }
+
+    /// Batch size the model is served at on `dims` (cf. Table 2):
+    /// vector-matrix models (RNN/MLP) batch to the array's `n`; the
+    /// im2col workloads (ResNet-50) serve batches of 8, since their
+    /// conv GEMMs are tall and fill the array without `n` samples. The
+    /// Transformer's steps are dense vector-matrix GEMMs over its
+    /// tokens, so it serves at `n` too.
+    pub fn serving_batch(&self, dims: &ArrayDims) -> usize {
+        if self.is_vector_matrix() {
+            dims.n
+        } else {
+            8
+        }
     }
 }
 

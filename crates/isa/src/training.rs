@@ -44,6 +44,18 @@ impl TrainingSetup {
             dram_inefficiency_factor: 3.5,
         }
     }
+
+    /// The training configuration `model` trains under, streamed in
+    /// `encoding`: RNN/MLP minibatch 128 (the GRU's 1500-step unroll
+    /// at 32), im2col workloads at 8.
+    pub fn for_model(model: &ModelSpec, encoding: Encoding) -> Self {
+        let batch = match model.name() {
+            "GRU" => 32,
+            _ if model.is_vector_matrix() => 128,
+            _ => 8,
+        };
+        TrainingSetup { batch, encoding, ..TrainingSetup::paper_default() }
+    }
 }
 
 impl Default for TrainingSetup {
@@ -407,6 +419,30 @@ mod tests {
 
     fn dims_500us() -> ArrayDims {
         ArrayDims { n: 186, w: 3, m: 3 }
+    }
+
+    #[test]
+    fn serving_and_training_batches_per_model() {
+        // perfbench keeps its own copy of the training rule; it must
+        // agree for LSTM and GRU, or its `paper_colocate` set-up fails
+        // on a compile-cache miss.
+        let dims = dims_500us();
+        for (model, serving, training) in [
+            (ModelSpec::lstm_2048_25(), 186, 128),
+            (ModelSpec::gru_2816_1500(), 186, 32),
+            (ModelSpec::resnet50(), 8, 8),
+            (ModelSpec::mlp_2048x5(), 186, 128),
+            (ModelSpec::transformer_encoder_768(), 186, 128),
+        ] {
+            let setup = TrainingSetup::for_model(&model, Encoding::Bfloat16);
+            assert_eq!(
+                (model.serving_batch(&dims), setup.batch),
+                (serving, training),
+                "{}",
+                model.name()
+            );
+            assert_eq!(setup.encoding, Encoding::Bfloat16);
+        }
     }
 
     #[test]

@@ -252,8 +252,7 @@ mod tests {
     fn compiler_output_validates() {
         let d = dims();
         for model in [ModelSpec::lstm_2048_25(), ModelSpec::resnet50()] {
-            let batch = if model.is_vector_matrix() { d.n } else { 8 };
-            let p = compile_inference(&model, &d, batch);
+            let p = compile_inference(&model, &d, model.serving_batch(&d));
             validate_program(&p, &d, &BufferBudget::paper_default())
                 .unwrap_or_else(|e| panic!("{} program must validate: {e}", model.name()));
         }

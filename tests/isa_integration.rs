@@ -10,12 +10,12 @@ use equinox::isa::models::ModelSpec;
 use equinox::isa::validate::{validate_installation, validate_program, BufferBudget};
 use equinox_arith::Encoding;
 
-fn workloads() -> Vec<(ModelSpec, usize)> {
+fn workloads() -> Vec<ModelSpec> {
     vec![
-        (ModelSpec::lstm_2048_25(), 0),  // 0 = use the config's n
-        (ModelSpec::gru_2816_1500(), 0),
-        (ModelSpec::resnet50(), 8),
-        (ModelSpec::mlp_2048x5(), 0),
+        ModelSpec::lstm_2048_25(),
+        ModelSpec::gru_2816_1500(),
+        ModelSpec::resnet50(),
+        ModelSpec::mlp_2048x5(),
     ]
 }
 
@@ -24,8 +24,8 @@ fn every_selected_design_runs_every_workload() {
     let budget = BufferBudget::paper_default();
     for eq in Equinox::family(Encoding::Hbfp8) {
         let dims = eq.dims();
-        for (model, batch) in workloads() {
-            let batch = if batch == 0 { dims.n } else { batch };
+        for model in workloads() {
+            let batch = model.serving_batch(&dims);
             let program = compile_inference(&model, &dims, batch);
             // MAC conservation.
             assert_eq!(
@@ -53,8 +53,8 @@ fn wire_format_round_trips_real_programs() {
         .into_iter()
         .find(|e| e.config().name == "Equinox_500us")
         .expect("family contains the 500 µs configuration");
-    for (model, batch) in workloads() {
-        let batch = if batch == 0 { eq.dims().n } else { batch };
+    for model in workloads() {
+        let batch = model.serving_batch(&eq.dims());
         let program = compile_inference(&model, &eq.dims(), batch);
         let bytes = encode(program.instructions());
         let decoded = decode(&bytes)
