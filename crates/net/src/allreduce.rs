@@ -170,7 +170,9 @@ pub fn reduce_gradients(schedule: AllReduceSchedule, grads: &[Vec<i64>]) -> Vec<
 ///
 /// [`EquinoxError::InvalidArgument`] when the spec fails
 /// [`InterconnectSpec::validate`], a participant index is out of
-/// range, or the demand slice length differs from `n_devices`.
+/// range, the demand slice length differs from `n_devices`, or a
+/// demand is NaN or infinite. (A zero or negative demand attaches no
+/// background source.)
 pub fn run_allreduce_round(
     spec: &InterconnectSpec,
     n_devices: usize,
@@ -187,6 +189,14 @@ pub fn run_allreduce_round(
                 n_devices,
                 bg_demand_bytes_per_cycle.len()
             ),
+        ));
+    }
+    if let Some((device, bad)) =
+        bg_demand_bytes_per_cycle.iter().enumerate().find(|(_, d)| !d.is_finite())
+    {
+        return Err(EquinoxError::invalid_argument(
+            "run_allreduce_round",
+            format!("background demand of device {device} must be finite, got {bad}"),
         ));
     }
     if let Some(&bad) = participants.iter().find(|&&p| p >= n_devices) {
@@ -303,5 +313,39 @@ mod tests {
         let mut bad = spec;
         bad.gradient_bytes = 0;
         assert!(run_allreduce_round(&bad, 4, &[0, 1], &[0.0; 4], 1).is_err());
+    }
+
+    fn round_with_demand(demand: f64) -> Result<RoundOutcome, EquinoxError> {
+        let spec = InterconnectSpec::datacenter(1 << 20, 65_536);
+        run_allreduce_round(&spec, 4, &[0, 1, 2, 3], &[1.0, demand, 1.0, 1.0], 3)
+    }
+
+    #[test]
+    fn a_nan_demand_is_rejected() {
+        let err = round_with_demand(f64::NAN).unwrap_err();
+        assert_eq!(err.kind(), "invalid-argument");
+    }
+
+    #[test]
+    fn an_infinite_demand_is_rejected() {
+        for demand in [f64::INFINITY, f64::NEG_INFINITY] {
+            let err = round_with_demand(demand).unwrap_err();
+            assert_eq!(err.kind(), "invalid-argument", "{demand}");
+        }
+    }
+
+    #[test]
+    fn a_zero_or_negative_demand_attaches_no_background() {
+        let spec = InterconnectSpec::datacenter(1 << 20, 65_536);
+        let quiet = run_allreduce_round(&spec, 4, &[0, 1, 2, 3], &[0.0; 4], 3).unwrap();
+        assert_eq!(quiet.bg_packets_delivered + quiet.bg_packets_dropped, 0);
+        for demand in [0.0, -0.0, -5.0, f64::MIN] {
+            let out = run_allreduce_round(&spec, 4, &[0, 1, 2, 3], &[demand; 4], 3).unwrap();
+            assert_eq!(out, quiet, "{demand}");
+        }
+        // Only device 1's zero demand goes quiet; the others still load
+        // their links.
+        let mixed = round_with_demand(0.0).unwrap();
+        assert!(mixed.bg_packets_delivered > 0);
     }
 }

@@ -171,8 +171,12 @@ mod tests {
                     let r = f.route(a, b);
                     assert_eq!(r[0], f.up(a), "{topo:?} {a}->{b}");
                     assert_eq!(*r.last().unwrap(), f.down(b), "{topo:?} {a}->{b}");
+                    assert!(r.len() as u64 <= topo.max_route_links(7), "{topo:?} {a}->{b}");
                 }
             }
         }
+        // The ring's bound is tight: 1 → 0 crosses all but one trunk.
+        let ring = Fabric::build(Topology::Ring, 7, LinkSpec::default());
+        assert_eq!(ring.route(1, 0).len() as u64, Topology::Ring.max_route_links(7));
     }
 }

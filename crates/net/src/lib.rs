@@ -42,10 +42,18 @@
 //!
 //! # Determinism
 //!
-//! The event loop is single-threaded and totally ordered: the heap is
-//! keyed by `(cycle, insertion sequence)`, so ties break by insertion
+//! The event loop is single-threaded and totally ordered: events pop
+//! in `(cycle, insertion sequence)` order, so ties break by insertion
 //! order and a round's outcome is a pure function of
 //! ([`InterconnectSpec`], participants, background demand, seed). The
+//! queue is a merge, not one heap: each constant delay (link latency
+//! for arrivals, the retransmission timeout, a full packet's
+//! serialization) feeds its own FIFO, and the events with varying
+//! delays (partial-packet serializations, acks, background
+//! injections) a small heap. The clock never runs backwards and
+//! sequence numbers only grow, so every FIFO is sorted as pushed, and
+//! the smallest `(cycle, seq)` among the FIFO heads and the heap top
+//! is the next event a single heap would have popped. The
 //! only randomness is the per-device phase of the background injection
 //! combs, drawn from a `SplitMix64` seeded by the caller — the fleet
 //! layer passes `split_seed(seed, 1 << 33)` (stream `1 << 33` is the
@@ -65,6 +73,7 @@
 
 pub mod allreduce;
 pub mod fabric;
+mod queue;
 pub mod report;
 pub mod sim;
 pub mod spec;

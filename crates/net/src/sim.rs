@@ -1,8 +1,19 @@
 //! The deterministic discrete-event packet engine.
 //!
-//! Single-threaded by construction: one binary heap of events keyed by
-//! `(cycle, insertion sequence)`, so simultaneous events process in
-//! insertion order and every run is a pure function of its inputs.
+//! Single-threaded by construction: events process in
+//! `(cycle, insertion sequence)` order, so simultaneous events process
+//! in insertion order and every run is a pure function of its inputs.
+//! The pending events sit in an `EventQueue` with three FIFO lanes,
+//! one per constant delay — packet arrivals (`latency_cycles` after
+//! serialization ends), retransmission timers (`timeout_cycles` after
+//! arming) and full-packet serializations — plus a heap for the
+//! events whose delay varies: partial-packet serializations, acks
+//! (their delay grows with the route's hop count) and background
+//! injections (each source has its own period). Because the clock
+//! never runs backwards and sequence numbers only grow, each lane is
+//! sorted as pushed, and taking the smallest head among the lanes and
+//! the heap pops exactly the `(cycle, seq)` order of one heap of every
+//! event, at O(1) for the lane events that make up most of a round.
 //! See the crate docs for the link, switching, flow, and background
 //! models this engine implements.
 //!
@@ -15,61 +26,56 @@
 
 use crate::allreduce::StepFlow;
 use crate::fabric::Fabric;
+use crate::queue::EventQueue;
 use crate::report::{LinkReport, RoundOutcome};
-use crate::spec::{InterconnectSpec, SwitchPolicy};
-use std::collections::{BinaryHeap, VecDeque};
+use crate::spec::{InterconnectSpec, SwitchPolicy, MAX_DELAY_CYCLES};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Hard ceiling on processed events per round — a runaway-retransmission
-/// backstop far above any configured round (a Full-scale sweep cell
-/// processes ≈ 10⁶ events). On hit, surviving flows abort and the
-/// outcome is flagged `truncated`.
+/// backstop far above any configured round: the `fleet_256` benchmark
+/// round (256 devices, 128 ring participants) processes 6.26 M events
+/// and the quick `allreduce` sweep cells 0.41–1.49 M. On hit, surviving
+/// flows abort and the outcome is flagged `truncated`.
 const EVENT_CAP: u64 = 50_000_000;
 
-#[derive(Debug, Clone, Copy)]
-enum Owner {
-    Flow { id: u32, seq: u32 },
-    Background,
-}
+// While a flow is active its latest retransmission timer is pending,
+// so each processed event advances the clock by at most
+// `timeout_cycles` and every event lands at most one more delay later.
+// `InterconnectSpec::validate` bounds each delay by
+// `MAX_DELAY_CYCLES`, so no cycle sum in a round can overflow. The one
+// unbounded delay, a background comb's period, saturates instead.
+const _: () = assert!((EVENT_CAP as u128 + 1) * MAX_DELAY_CYCLES as u128 <= u64::MAX as u128);
+
+// Lanes of the event queue, one per constant delay.
+const ARRIVE_LANE: usize = 0;
+const TIMEOUT_LANE: usize = 1;
+const TX_DONE_LANE: usize = 2;
 
 #[derive(Debug, Clone, Copy)]
-struct Packet {
-    owner: Owner,
-    bytes: u32,
-    hop: u16,
-    injected: u64,
+enum Packet {
+    Flow { flow: u32, seq: u32, bytes: u32, hop: u16 },
+    /// Background packets travel one hop; `injected` prices their
+    /// queueing delay on arrival.
+    Background { bytes: u32, injected: u64 },
 }
 
+impl Packet {
+    fn bytes(&self) -> u64 {
+        match *self {
+            Packet::Flow { bytes, .. } | Packet::Background { bytes, .. } => u64::from(bytes),
+        }
+    }
+}
+
+/// A pending event: 16 bytes, so a queue entry with its
+/// `(time, seq)` key takes 32.
 #[derive(Debug)]
 enum Event {
-    TxDone { link: usize },
-    Arrive { link: usize, packet: Packet },
-    Ack { flow: usize, cum: u32 },
-    Timeout { flow: usize, generation: u32 },
-    BgInject { source: usize },
-}
-
-struct QueuedEvent {
-    time: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    // Reversed: the std max-heap then pops the earliest (time, seq).
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.time.cmp(&self.time).then(other.seq.cmp(&self.seq))
-    }
+    TxDone { link: u32 },
+    Arrive(Packet),
+    Ack { flow: u32, cum: u32 },
+    Timeout { flow: u32, generation: u32 },
+    BgInject { source: u32 },
 }
 
 #[derive(Debug, Default)]
@@ -79,7 +85,9 @@ struct LinkState {
     in_flight: Option<Packet>,
     paused: bool,
     pause_started: u64,
-    pfc_waiting: VecDeque<(usize, Packet)>,
+    /// Packets parked in this link's PFC headroom, each with the
+    /// upstream link it paused.
+    pfc_waiting: VecDeque<(u32, Packet)>,
     blocked_flows: VecDeque<u32>,
     offered_bytes: u64,
     delivered_bytes: u64,
@@ -112,6 +120,14 @@ struct Flow {
     ack_latency: u64,
 }
 
+impl Flow {
+    /// True while the flow has an unsent packet inside its window.
+    fn can_send(&self, window_packets: u32) -> bool {
+        self.next_seq < self.total_packets
+            && self.next_seq < self.base.saturating_add(window_packets)
+    }
+}
+
 #[derive(Debug)]
 struct BgSource {
     link: usize,
@@ -119,18 +135,19 @@ struct BgSource {
 }
 
 /// The engine: a built [`Fabric`], the [`InterconnectSpec`]'s flow
-/// and switching knobs, background sources, and the event heap.
+/// and switching knobs, background sources, and the event queue.
 pub struct NetSim<'a> {
     fabric: &'a Fabric,
     spec: &'a InterconnectSpec,
     now: u64,
-    event_seq: u64,
     events_processed: u64,
-    heap: BinaryHeap<QueuedEvent>,
+    queue: EventQueue<Event, 3>,
     links: Vec<LinkState>,
     flows: Vec<Flow>,
     bg: Vec<BgSource>,
-    bg_delays: Vec<u64>,
+    /// Delivered background packets by queueing delay (cycles): a
+    /// round delivers millions, at a few hundred distinct delays.
+    bg_delays: BTreeMap<u64, u64>,
     bg_dropped: u64,
     active_flows: usize,
     retries_total: u64,
@@ -147,13 +164,12 @@ impl<'a> NetSim<'a> {
             fabric,
             spec,
             now: 0,
-            event_seq: 0,
             events_processed: 0,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::new(),
             links,
             flows: Vec::new(),
             bg: Vec::new(),
-            bg_delays: Vec::new(),
+            bg_delays: BTreeMap::new(),
             bg_dropped: 0,
             active_flows: 0,
             retries_total: 0,
@@ -169,18 +185,23 @@ impl<'a> NetSim<'a> {
     /// `bg_cap_frac ×` link rate so gradient flows always see residual
     /// capacity. `phase` offsets the comb's first injection (the
     /// caller draws it from the interconnect seed stream). A
-    /// non-positive demand attaches nothing.
+    /// non-positive demand attaches nothing; the demand must not be
+    /// NaN ([`run_allreduce_round`](crate::run_allreduce_round)
+    /// rejects every non-finite demand).
     pub fn add_background(&mut self, device: usize, demand_bytes_per_cycle: f64, phase: u64) {
+        debug_assert!(!demand_bytes_per_cycle.is_nan(), "NaN background demand");
         let cap = self.spec.bg_cap_frac * self.spec.link.rate_bytes_per_cycle;
         let demand = demand_bytes_per_cycle.min(cap);
         if demand <= 0.0 {
             return;
         }
+        // A tiny demand makes the period saturate at `u64::MAX`; the
+        // comb's next injection then saturates too (`on_bg_inject`).
         let period =
             ((f64::from(self.spec.packet_bytes) / demand).ceil() as u64).max(1);
-        let source = self.bg.len();
+        let source = self.bg.len() as u32;
         self.bg.push(BgSource { link: self.fabric.down(device), period });
-        self.push_event(phase % period, Event::BgInject { source });
+        self.queue.push(phase % period, Event::BgInject { source });
     }
 
     /// Runs the schedule: each step's flows (device-index endpoints)
@@ -220,7 +241,7 @@ impl<'a> NetSim<'a> {
                 dropped_bytes: s.dropped_bytes,
                 dropped_packets: s.dropped_packets,
                 queued_bytes_end: s.queued_bytes
-                    + s.pfc_waiting.iter().map(|(_, p)| u64::from(p.bytes)).sum::<u64>(),
+                    + s.pfc_waiting.iter().map(|(_, p)| p.bytes()).sum::<u64>(),
                 busy_cycles: s.busy_cycles.min(round_cycles),
                 peak_queue_bytes: s.peak_queue_bytes,
                 pfc_pause_cycles: s.pfc_pause_cycles,
@@ -229,17 +250,20 @@ impl<'a> NetSim<'a> {
         let deadlocked = self.spec.switching == SwitchPolicy::Pfc
             && self.aborted_flows > 0
             && self.links.iter().any(|l| !l.pfc_waiting.is_empty());
-        let mut delays = self.bg_delays;
-        delays.sort_unstable();
-        let bg_delay_mean_cycles = if delays.is_empty() {
-            0.0
+        let delivered: u64 = self.bg_delays.values().sum();
+        let (bg_delay_mean_cycles, bg_delay_p99_cycles) = if delivered == 0 {
+            (0.0, 0)
         } else {
-            delays.iter().sum::<u64>() as f64 / delays.len() as f64
-        };
-        let bg_delay_p99_cycles = if delays.is_empty() {
-            0
-        } else {
-            delays[((delays.len() as f64 * 0.99).ceil() as usize).clamp(1, delays.len()) - 1]
+            let total: u64 = self.bg_delays.iter().map(|(delay, n)| delay * n).sum();
+            // Nearest rank: the smallest delay at least 99 % of the
+            // packets do not exceed.
+            let rank = ((delivered as f64 * 0.99).ceil() as u64).clamp(1, delivered);
+            let mut seen = 0;
+            let p99 = self.bg_delays.iter().find(|(_, &n)| {
+                seen += n;
+                seen >= rank
+            });
+            (total as f64 / delivered as f64, p99.map_or(0, |(&delay, _)| delay))
         };
         RoundOutcome {
             round_cycles,
@@ -250,7 +274,7 @@ impl<'a> NetSim<'a> {
             aborted_flows: self.aborted_flows,
             deadlocked,
             truncated: self.truncated,
-            bg_packets_delivered: delays.len() as u64,
+            bg_packets_delivered: delivered,
             bg_packets_dropped: self.bg_dropped,
             bg_delay_mean_cycles,
             bg_delay_p99_cycles,
@@ -259,12 +283,6 @@ impl<'a> NetSim<'a> {
 
     // ------------------------------------------------------------------
     // internals
-
-    fn push_event(&mut self, time: u64, event: Event) {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.heap.push(QueuedEvent { time, seq, event });
-    }
 
     fn add_flow(&mut self, f: &StepFlow) {
         let route = self.fabric.route(f.src, f.dst);
@@ -306,7 +324,7 @@ impl<'a> NetSim<'a> {
                 self.truncate();
                 return;
             }
-            let Some(QueuedEvent { time, event, .. }) = self.heap.pop() else {
+            let Some((time, event)) = self.queue.pop() else {
                 // No pending events with flows still active: every one
                 // of them is irrecoverably stuck (can happen only with
                 // no timers armed, i.e. never — kept as a backstop).
@@ -317,11 +335,11 @@ impl<'a> NetSim<'a> {
             self.now = time;
             self.events_processed += 1;
             match event {
-                Event::TxDone { link } => self.on_tx_done(link),
-                Event::Arrive { link, packet } => self.on_arrive(link, packet),
-                Event::Ack { flow, cum } => self.on_ack(flow, cum),
-                Event::Timeout { flow, generation } => self.on_timeout(flow, generation),
-                Event::BgInject { source } => self.on_bg_inject(source),
+                Event::TxDone { link } => self.on_tx_done(link as usize),
+                Event::Arrive(packet) => self.on_arrive(packet),
+                Event::Ack { flow, cum } => self.on_ack(flow as usize, cum),
+                Event::Timeout { flow, generation } => self.on_timeout(flow as usize, generation),
+                Event::BgInject { source } => self.on_bg_inject(source as usize),
             }
         }
     }
@@ -350,22 +368,14 @@ impl<'a> NetSim<'a> {
     fn try_send(&mut self, fid: usize) {
         loop {
             let f = &self.flows[fid];
-            if f.fate != FlowFate::Active || f.blocked {
-                return;
-            }
-            if f.next_seq >= f.total_packets || f.next_seq >= f.base + self.spec.window_packets {
+            if f.fate != FlowFate::Active || f.blocked || !f.can_send(self.spec.window_packets) {
                 return;
             }
             let seq = f.next_seq;
             let bytes = self.packet_bytes_for(fid, seq);
             let link0 = f.route[0];
             if self.links[link0].queued_bytes + u64::from(bytes) <= self.spec.link.queue_bytes {
-                let packet = Packet {
-                    owner: Owner::Flow { id: fid as u32, seq },
-                    bytes,
-                    hop: 0,
-                    injected: self.now,
-                };
+                let packet = Packet::Flow { flow: fid as u32, seq, bytes, hop: 0 };
                 self.enqueue(link0, packet);
                 self.flows[fid].next_seq += 1;
                 self.arm_timeout(fid);
@@ -380,14 +390,15 @@ impl<'a> NetSim<'a> {
     fn arm_timeout(&mut self, fid: usize) {
         self.flows[fid].generation += 1;
         let generation = self.flows[fid].generation;
-        self.push_event(
+        self.queue.push_lane(
+            TIMEOUT_LANE,
             self.now + self.spec.timeout_cycles,
-            Event::Timeout { flow: fid, generation },
+            Event::Timeout { flow: fid as u32, generation },
         );
     }
 
     fn enqueue(&mut self, link: usize, packet: Packet) {
-        self.links[link].offered_bytes += u64::from(packet.bytes);
+        self.links[link].offered_bytes += packet.bytes();
         self.admit(link, packet);
     }
 
@@ -396,7 +407,7 @@ impl<'a> NetSim<'a> {
     // they parked.
     fn admit(&mut self, link: usize, packet: Packet) {
         let l = &mut self.links[link];
-        l.queued_bytes += u64::from(packet.bytes);
+        l.queued_bytes += packet.bytes();
         l.peak_queue_bytes = l.peak_queue_bytes.max(l.queued_bytes);
         l.queue.push_back(packet);
         self.try_start_tx(link);
@@ -408,38 +419,41 @@ impl<'a> NetSim<'a> {
             return;
         }
         let Some(p) = l.queue.pop_front() else { return };
-        let ser = self.spec.link.serialization_cycles(u64::from(p.bytes));
+        let ser = self.spec.link.serialization_cycles(p.bytes());
         l.busy_cycles += ser;
         l.in_flight = Some(p);
-        self.push_event(self.now + ser, Event::TxDone { link });
+        let event = Event::TxDone { link: link as u32 };
+        // Every full packet serializes in the same time.
+        if p.bytes() == u64::from(self.spec.packet_bytes) {
+            self.queue.push_lane(TX_DONE_LANE, self.now + ser, event);
+        } else {
+            self.queue.push(self.now + ser, event);
+        }
     }
 
     fn on_tx_done(&mut self, link: usize) {
         let latency = self.spec.link.latency_cycles;
         let l = &mut self.links[link];
         let p = l.in_flight.take().expect("TxDone on an idle link");
-        l.queued_bytes -= u64::from(p.bytes);
-        l.delivered_bytes += u64::from(p.bytes);
-        self.push_event(self.now + latency, Event::Arrive { link, packet: p });
+        l.queued_bytes -= p.bytes();
+        l.delivered_bytes += p.bytes();
+        self.queue.push_lane(ARRIVE_LANE, self.now + latency, Event::Arrive(p));
         // Admit parked PFC packets while the drained queue has room.
         loop {
             let l = &mut self.links[link];
             let Some(&(upstream, wp)) = l.pfc_waiting.front() else { break };
-            if l.queued_bytes + u64::from(wp.bytes) > self.spec.link.queue_bytes {
+            if l.queued_bytes + wp.bytes() > self.spec.link.queue_bytes {
                 break;
             }
             l.pfc_waiting.pop_front();
             self.admit(link, wp);
-            self.unpause(upstream);
+            self.unpause(upstream as usize);
         }
         // Pump senders blocked on this link.
         while let Some(&fid) = self.links[link].blocked_flows.front() {
             let fid = fid as usize;
             let f = &self.flows[fid];
-            if f.fate != FlowFate::Active
-                || f.next_seq >= f.total_packets
-                || f.next_seq >= f.base + self.spec.window_packets
-            {
+            if f.fate != FlowFate::Active || !f.can_send(self.spec.window_packets) {
                 // Nothing to send any more; drop the reservation.
                 self.links[link].blocked_flows.pop_front();
                 self.flows[fid].blocked = false;
@@ -473,20 +487,22 @@ impl<'a> NetSim<'a> {
         }
     }
 
-    fn on_arrive(&mut self, link: usize, mut packet: Packet) {
-        match packet.owner {
-            Owner::Background => {
+    fn on_arrive(&mut self, packet: Packet) {
+        match packet {
+            Packet::Background { bytes, injected } => {
                 // Background routes are the single `down` link: the
                 // packet has reached its device. Its queueing delay is
                 // everything beyond unloaded serialization + latency.
-                let ideal = self.spec.link.serialization_cycles(u64::from(packet.bytes))
+                let ideal = self.spec.link.serialization_cycles(u64::from(bytes))
                     + self.spec.link.latency_cycles;
-                self.bg_delays.push((self.now - packet.injected).saturating_sub(ideal));
+                let delay = (self.now - injected).saturating_sub(ideal);
+                *self.bg_delays.entry(delay).or_insert(0) += 1;
             }
-            Owner::Flow { id, seq } => {
-                let fid = id as usize;
-                let hop = usize::from(packet.hop);
-                if hop + 1 == self.flows[fid].route.len() {
+            Packet::Flow { flow, seq, bytes, hop } => {
+                let fid = flow as usize;
+                let route = &self.flows[fid].route;
+                let link = route[usize::from(hop)];
+                if usize::from(hop) + 1 == route.len() {
                     // Delivered to the destination device.
                     if self.flows[fid].fate != FlowFate::Active {
                         return;
@@ -496,27 +512,26 @@ impl<'a> NetSim<'a> {
                     }
                     let cum = self.flows[fid].expected_recv;
                     let ack_at = self.now + self.flows[fid].ack_latency;
-                    self.push_event(ack_at, Event::Ack { flow: fid, cum });
+                    self.queue.push(ack_at, Event::Ack { flow, cum });
                 } else {
-                    let next = self.flows[fid].route[hop + 1];
-                    packet.hop += 1;
-                    if self.links[next].queued_bytes + u64::from(packet.bytes)
-                        <= self.spec.link.queue_bytes
-                    {
+                    let next = route[usize::from(hop) + 1];
+                    let packet = Packet::Flow { flow, seq, bytes, hop: hop + 1 };
+                    let bytes = u64::from(bytes);
+                    if self.links[next].queued_bytes + bytes <= self.spec.link.queue_bytes {
                         self.enqueue(next, packet);
                     } else {
                         match self.spec.switching {
                             SwitchPolicy::DropTail => {
                                 let l = &mut self.links[next];
-                                l.offered_bytes += u64::from(packet.bytes);
-                                l.dropped_bytes += u64::from(packet.bytes);
+                                l.offered_bytes += bytes;
+                                l.dropped_bytes += bytes;
                                 l.dropped_packets += 1;
                             }
                             SwitchPolicy::Pfc => {
                                 // Offered now; admitted (without
                                 // re-counting) when the queue drains.
-                                self.links[next].offered_bytes += u64::from(packet.bytes);
-                                self.links[next].pfc_waiting.push_back((link, packet));
+                                self.links[next].offered_bytes += bytes;
+                                self.links[next].pfc_waiting.push_back((link as u32, packet));
                                 self.pause(link);
                             }
                         }
@@ -568,12 +583,7 @@ impl<'a> NetSim<'a> {
         let period = self.bg[source].period;
         let bytes = self.spec.packet_bytes;
         if self.links[link].queued_bytes + u64::from(bytes) <= self.spec.link.queue_bytes {
-            let packet = Packet {
-                owner: Owner::Background,
-                bytes,
-                hop: 0,
-                injected: self.now,
-            };
+            let packet = Packet::Background { bytes, injected: self.now };
             self.enqueue(link, packet);
         } else {
             // The DMA engine defers under backpressure; the ledger
@@ -584,13 +594,15 @@ impl<'a> NetSim<'a> {
             l.dropped_packets += 1;
             self.bg_dropped += 1;
         }
-        self.push_event(self.now + period, Event::BgInject { source });
+        let source = source as u32;
+        self.queue.push(self.now.saturating_add(period), Event::BgInject { source });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allreduce::run_allreduce_round;
     use crate::spec::{AllReduceSchedule, Topology};
 
     fn spec() -> InterconnectSpec {
@@ -716,6 +728,21 @@ mod tests {
     }
 
     #[test]
+    fn a_vanishing_background_demand_injects_once() {
+        // The period saturates at u64::MAX: the comb fires at its
+        // phase and its next injection saturates instead of wrapping
+        // into the past.
+        let s = spec();
+        let fabric = Fabric::build(Topology::OneBigSwitch, 4, s.link);
+        let mut sim = NetSim::new(&fabric, &s);
+        sim.add_background(3, 1e-300, 17);
+        sim.run_steps(&[vec![StepFlow { src: 0, dst: 3, bytes: 1 << 20 }]]);
+        let out = sim.finish();
+        assert_eq!(out.aborted_flows, 0);
+        assert_eq!(out.bg_packets_delivered, 1, "{out:?}");
+    }
+
+    #[test]
     fn runs_are_reproducible_event_for_event() {
         let s = spec().with_topology(Topology::Ring);
         let fabric = Fabric::build(Topology::Ring, 6, s.link);
@@ -735,5 +762,101 @@ mod tests {
             format!("{:?}", sim.finish())
         };
         assert_eq!(run(), run());
+    }
+
+    /// FNV-1a over the bytes of a round's `Debug` rendering.
+    fn fnv1a(out: &RoundOutcome) -> u64 {
+        format!("{out:?}").bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// One round per engine path: drop-tail losses with go-back-N
+    /// retries, PFC pauses, the PFC ring deadlock, background
+    /// contention, a scaled-down `fleet_256` tree round, and ring
+    /// chunks that end in a partial packet.
+    fn pinned_rounds() -> Vec<(&'static str, RoundOutcome)> {
+        let mut tiny = spec();
+        tiny.link.queue_bytes = 4 * u64::from(tiny.packet_bytes);
+        tiny.retry_budget = 64;
+        let drop_tail = converging_flows(&tiny);
+        let pfc = converging_flows(&tiny.clone().with_switching(SwitchPolicy::Pfc));
+
+        let mut ring = spec()
+            .with_topology(Topology::Ring)
+            .with_switching(SwitchPolicy::Pfc)
+            .with_schedule(AllReduceSchedule::Ring);
+        ring.link.queue_bytes = u64::from(ring.packet_bytes);
+        ring.retry_budget = 3;
+        ring.timeout_cycles = 20_000;
+        let fabric = Fabric::build(Topology::Ring, 4, ring.link);
+        let mut sim = NetSim::new(&fabric, &ring);
+        sim.run_steps(&[(0..4)
+            .map(|i| StepFlow { src: i, dst: (i + 3) % 4, bytes: 1 << 20 })
+            .collect()]);
+        let deadlock = sim.finish();
+
+        let s = spec();
+        let fabric = Fabric::build(Topology::OneBigSwitch, 4, s.link);
+        let mut sim = NetSim::new(&fabric, &s);
+        sim.add_background(3, 64.0, 17);
+        sim.run_steps(&[vec![StepFlow { src: 0, dst: 3, bytes: 1 << 20 }]]);
+        let background = sim.finish();
+
+        // fleet_256's shape at 1/8 scale: 32 devices on 4-per-leaf
+        // tree switches, the ring schedule over the 16 even devices.
+        let tree = InterconnectSpec::datacenter(1 << 20, 65_536)
+            .with_topology(Topology::Tree { leaf_group: 4 });
+        let demand: Vec<f64> = (0..32).map(|d| f64::from(d % 7) * 1.5).collect();
+        let harvesters: Vec<usize> = (0..32).step_by(2).collect();
+        let fleet = run_allreduce_round(&tree, 32, &harvesters, &demand, 5).unwrap();
+
+        // 100 000 / 6 rounds up to 16 667-byte chunks: four full
+        // packets and a 283-byte tail per flow.
+        let partial = spec().with_topology(Topology::Ring);
+        let partial = InterconnectSpec { gradient_bytes: 100_000, ..partial };
+        let demand = [3.0, 0.0, 9.5, 1.0, 24.0, 0.5, 7.0];
+        let tail = run_allreduce_round(&partial, 7, &[0, 1, 2, 4, 5, 6], &demand, 11).unwrap();
+
+        vec![
+            ("drop_tail", drop_tail),
+            ("pfc", pfc),
+            ("pfc_ring_deadlock", deadlock),
+            ("background", background),
+            ("fleet_tree", fleet),
+            ("partial_chunks", tail),
+        ]
+    }
+
+    #[test]
+    fn rounds_match_the_pinned_outcomes() {
+        // Hashes of the outcomes the single-heap engine produced: the
+        // lane-merging queue must reproduce every round bit for bit.
+        let pinned = [
+            ("drop_tail", 0x78df_f7db_7537_e88d),
+            ("pfc", 0x6dfc_e173_a93c_efac),
+            ("pfc_ring_deadlock", 0x5bc6_4112_c2a0_8647),
+            ("background", 0xa87a_1ef0_9a11_4747),
+            ("fleet_tree", 0xc32e_4dc6_fbc1_8c63),
+            ("partial_chunks", 0x336f_3e0e_29d8_cde9),
+        ];
+        let rounds = pinned_rounds();
+        assert_eq!(rounds.len(), pinned.len());
+        for ((name, out), (want_name, want)) in rounds.iter().zip(pinned) {
+            assert_eq!((*name, fnv1a(out)), (want_name, want), "{out:?}");
+        }
+        // Each round exercises the path it is named for.
+        let by_name = |n: &str| &rounds.iter().find(|(name, _)| *name == n).unwrap().1;
+        let drops = |o: &RoundOutcome| o.links.iter().map(|l| l.dropped_packets).sum::<u64>();
+        assert!(drops(by_name("drop_tail")) > 0 && by_name("drop_tail").retries > 0);
+        assert!(by_name("pfc").links.iter().any(|l| l.pfc_pause_cycles > 0));
+        assert!(by_name("pfc_ring_deadlock").deadlocked);
+        assert!(by_name("background").bg_packets_delivered > 0);
+        assert!(by_name("fleet_tree").bg_packets_delivered > 0);
+    }
+
+    #[test]
+    fn a_queued_event_takes_32_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 }

@@ -3,6 +3,18 @@
 
 use equinox_isa::EquinoxError;
 
+/// Largest delay, in cycles, one event may schedule the next by: the
+/// retransmission timeout, the propagation latency of the longest
+/// route (an ack's return trip), and one packet's serialization are
+/// each bounded by it ([`InterconnectSpec::validate`]). 2³⁶ cycles is
+/// 69 s at 1 GHz; with the engine's cap on events per round, no cycle
+/// sum in a round can overflow.
+pub const MAX_DELAY_CYCLES: u64 = 1 << 36;
+
+/// Most devices an interconnect may join, so link, flow and hop
+/// indices fit the engine's compact event fields.
+pub const MAX_DEVICES: usize = 1 << 15;
+
 /// Fabric wiring shape (see the crate docs for the link inventory each
 /// variant builds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +50,17 @@ impl Topology {
     /// (the precondition for a PFC backpressure deadlock).
     pub fn is_cyclic(self) -> bool {
         matches!(self, Topology::Ring)
+    }
+
+    /// An upper bound on the links of any route between two of
+    /// `n_devices` devices.
+    pub(crate) fn max_route_links(self, n_devices: usize) -> u64 {
+        match self {
+            Topology::OneBigSwitch => 2,
+            // up, at most n − 1 ring trunks, down.
+            Topology::Ring => n_devices as u64 + 1,
+            Topology::Tree { .. } => 4,
+        }
     }
 }
 
@@ -202,14 +225,21 @@ impl InterconnectSpec {
     ///
     /// [`EquinoxError::InvalidArgument`] for non-positive rates, a
     /// packet larger than the queue, a zero window/timeout/gradient,
-    /// a background cap outside `[0, 1]`, a degenerate tree
-    /// `leaf_group`, or an empty fleet.
+    /// a gradient of more than `u32::MAX` packets, a timeout, route
+    /// latency or packet serialization over [`MAX_DELAY_CYCLES`], a
+    /// background cap outside `[0, 1]`, a degenerate tree
+    /// `leaf_group`, or an empty fleet or one over [`MAX_DEVICES`].
     pub fn validate(&self, n_devices: usize) -> Result<(), EquinoxError> {
         let invalid = |message: String| {
             Err(EquinoxError::invalid_argument("InterconnectSpec::validate", message))
         };
         if n_devices == 0 {
             return invalid("an interconnect needs at least one device".into());
+        }
+        if n_devices > MAX_DEVICES {
+            return invalid(format!(
+                "{n_devices} devices exceed the interconnect's {MAX_DEVICES}"
+            ));
         }
         let l = &self.link;
         if !l.rate_bytes_per_cycle.is_finite() || l.rate_bytes_per_cycle <= 0.0 {
@@ -233,8 +263,33 @@ impl InterconnectSpec {
         if self.timeout_cycles == 0 {
             return invalid("timeout_cycles must be positive".into());
         }
+        if self.timeout_cycles > MAX_DELAY_CYCLES {
+            return invalid(format!(
+                "timeout_cycles {} exceeds {MAX_DELAY_CYCLES}",
+                self.timeout_cycles
+            ));
+        }
+        let route_links = self.topology.max_route_links(n_devices);
+        if l.latency_cycles.checked_mul(route_links).is_none_or(|c| c > MAX_DELAY_CYCLES) {
+            return invalid(format!(
+                "latency_cycles {} over a {route_links}-link route exceeds {MAX_DELAY_CYCLES}",
+                l.latency_cycles
+            ));
+        }
+        let serialization = l.serialization_cycles(u64::from(self.packet_bytes));
+        if serialization > MAX_DELAY_CYCLES {
+            return invalid(format!(
+                "serializing one packet takes {serialization} cycles, over {MAX_DELAY_CYCLES}"
+            ));
+        }
         if self.gradient_bytes == 0 {
             return invalid("gradient_bytes must be positive".into());
+        }
+        if self.gradient_bytes.div_ceil(u64::from(self.packet_bytes)) > u64::from(u32::MAX) {
+            return invalid(format!(
+                "gradient_bytes {} is more than u32::MAX packets of {} bytes",
+                self.gradient_bytes, self.packet_bytes
+            ));
         }
         if !self.bg_cap_frac.is_finite() || !(0.0..=1.0).contains(&self.bg_cap_frac) {
             return invalid(format!(
@@ -333,11 +388,54 @@ mod tests {
                 s
             },
             good().with_topology(Topology::Tree { leaf_group: 0 }),
+            {
+                let mut s = good();
+                s.timeout_cycles = MAX_DELAY_CYCLES + 1;
+                s
+            },
+            {
+                // 8 devices on a ring: a 9-link route.
+                let mut s = good().with_topology(Topology::Ring);
+                s.link.latency_cycles = MAX_DELAY_CYCLES / 9 + 1;
+                s
+            },
+            {
+                let mut s = good();
+                s.link.latency_cycles = u64::MAX;
+                s
+            },
+            {
+                let mut s = good();
+                s.link.rate_bytes_per_cycle = 1e-12;
+                s
+            },
+            {
+                let mut s = good();
+                s.packet_bytes = 1;
+                s.gradient_bytes = u64::from(u32::MAX) + 1;
+                s
+            },
         ];
         for (i, s) in cases.iter().enumerate() {
             let err = s.validate(8).unwrap_err();
             assert_eq!(err.kind(), "invalid-argument", "case {i}");
         }
         assert_eq!(good().validate(0).unwrap_err().kind(), "invalid-argument");
+        assert_eq!(
+            good().validate(MAX_DEVICES + 1).unwrap_err().kind(),
+            "invalid-argument"
+        );
+    }
+
+    #[test]
+    fn validation_accepts_delays_at_their_bounds() {
+        let mut s = InterconnectSpec::datacenter(16 << 20, 65_536).with_topology(Topology::Ring);
+        s.timeout_cycles = MAX_DELAY_CYCLES;
+        s.link.latency_cycles = MAX_DELAY_CYCLES / 9;
+        assert!(s.validate(8).is_ok());
+        assert!(s.validate(9).is_err(), "a 10-link route exceeds the bound");
+        s.packet_bytes = 1;
+        s.gradient_bytes = u64::from(u32::MAX);
+        assert!(s.validate(8).is_ok());
     }
 }

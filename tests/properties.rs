@@ -314,6 +314,94 @@ fn allreduce_flows_conserve_link_bytes() {
     });
 }
 
+/// The all-reduce entry point never panics: for random interconnect
+/// specs whose cycle, byte and window knobs are often 0, 1 or their
+/// type's maximum, random link rates and background caps (NaN and
+/// infinities among them), random background demands (NaN and ±∞
+/// among them) and random participant lists, `run_allreduce_round`
+/// returns `Ok` or `Err`. Gradients stay ≤ 1 MiB and ≤ 64 packets,
+/// fleets ≤ 16 devices and retry budgets ≤ 3, so every case is cheap.
+#[test]
+fn allreduce_round_never_panics_on_extreme_specs() {
+    use equinox::net::{
+        run_allreduce_round, AllReduceSchedule, InterconnectSpec, SwitchPolicy, Topology,
+    };
+    use equinox_arith::rng::SplitMix64;
+
+    /// 0, 1 or `max` one time in sixteen each; otherwise
+    /// 1..=`moderate`.
+    fn knob(g: &mut SplitMix64, max: u64, moderate: u64) -> u64 {
+        match g.usize_in(0, 16) {
+            0 => 0,
+            1 => 1,
+            2 => max,
+            _ => 1 + g.next_u64() % moderate,
+        }
+    }
+
+    let mut rounds = 0;
+    for_each_case(256, 0x70720a, |g| {
+        let n = g.usize_in(1, 17);
+        let topology = match g.usize_in(0, 3) {
+            0 => Topology::OneBigSwitch,
+            1 => Topology::Ring,
+            _ => Topology::Tree { leaf_group: knob(g, u64::MAX, 8) as usize },
+        };
+        let switching = if g.next_bool() { SwitchPolicy::DropTail } else { SwitchPolicy::Pfc };
+        let schedule = if g.next_bool() { AllReduceSchedule::Ring } else { AllReduceSchedule::Tree };
+        let mut spec = InterconnectSpec::datacenter(0, knob(g, u64::MAX, 1 << 16))
+            .with_topology(topology)
+            .with_switching(switching)
+            .with_schedule(schedule);
+        spec.link.rate_bytes_per_cycle = match g.usize_in(0, 32) {
+            0 => 0.0,
+            1 => -1.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => 1e-300,
+            5 => 1e300,
+            _ => g.f64_in(0.5, 64.0),
+        };
+        spec.link.latency_cycles = knob(g, u64::MAX, 2_000);
+        spec.link.queue_bytes = knob(g, u64::MAX, 1 << 20);
+        spec.packet_bytes = knob(g, u64::from(u32::MAX), 8_192) as u32;
+        spec.window_packets = knob(g, u64::from(u32::MAX), 32) as u32;
+        spec.timeout_cycles = knob(g, u64::MAX, 50_000);
+        spec.retry_budget = g.usize_in(0, 4) as u32;
+        spec.gradient_bytes =
+            knob(g, 1 << 20, 1 << 20).min(64 * u64::from(spec.packet_bytes.max(1)));
+        spec.bg_cap_frac = match g.usize_in(0, 8) {
+            0 => 0.0,
+            1 => 1.0,
+            2 => f64::NAN,
+            _ => g.next_f64(),
+        };
+        let mut demand: Vec<f64> = (0..n)
+            .map(|_| match g.usize_in(0, 8) {
+                0 => 0.0,
+                1 => -1.0,
+                2 => 1e-300,
+                3 => 1e300,
+                _ => g.next_f64() * 16.0,
+            })
+            .collect();
+        if g.usize_in(0, 8) == 0 {
+            let i = g.usize_in(0, n);
+            demand[i] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0, 3)];
+        }
+        let mut participants: Vec<usize> =
+            (0..g.usize_in(0, 7)).map(|_| g.usize_in(0, n)).collect();
+        if g.usize_in(0, 8) == 0 {
+            participants.push(n); // out of range: the round must reject it
+        }
+        if let Ok(out) = run_allreduce_round(&spec, n, &participants, &demand, g.next_u64()) {
+            rounds += usize::from(out.flows > 0);
+        }
+    });
+    // The draws must reach the packet loop, not only the validation.
+    assert!(rounds >= 32, "only {rounds} of 256 cases simulated flows");
+}
+
 /// The numerics pass is never false-safe: for random reduction
 /// geometries, every chain the pass marks saturation-safe survives the
 /// executed 25-bit accumulator at worst-case operand magnitudes (and
